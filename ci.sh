@@ -18,6 +18,12 @@ cargo test -q --workspace --no-default-features
 cargo build --release --workspace --features simd
 cargo test -q --workspace --features simd
 
+echo "== perfbench: the benchmark's own arithmetic =="
+# The bytes-to-verdict benchmark is its own Cargo workspace (perfbench/,
+# path deps on crates/*), so `--workspace` does not reach its unit tests
+# (host normalisation, medians/quartiles, metric output).
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test fault_injection =="
 cargo test -p decamouflage-core --test fault_injection
 

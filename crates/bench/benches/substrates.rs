@@ -10,7 +10,7 @@ use decamouflage_imaging::scale::{resize, ScaleAlgorithm, Scaler};
 use decamouflage_imaging::{Image, Size};
 use decamouflage_metrics::{mse, ssim, SsimConfig};
 use decamouflage_spectral::csp::{count_csp, CspConfig};
-use decamouflage_spectral::dft2d::dft2;
+use decamouflage_spectral::dft2d::dft2_planned;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,13 +62,15 @@ fn bench_metrics(c: &mut Criterion) {
 
 fn bench_spectral(c: &mut Criterion) {
     let pow2 = test_image(512); // radix-2 path
-    let arb = test_image(448); // Bluestein path
+    let smooth = test_image(448); // 2^6 * 7: mixed-radix path
+    let prime = test_image(443); // prime: Bluestein path
     let mut group = c.benchmark_group("spectral");
     group.sample_size(10);
-    group.bench_function("dft2_512_radix2", |b| b.iter(|| dft2(&pow2)));
-    group.bench_function("dft2_448_bluestein", |b| b.iter(|| dft2(&arb)));
+    group.bench_function("dft2_512_radix2", |b| b.iter(|| dft2_planned(&pow2)));
+    group.bench_function("dft2_448_mixed_radix", |b| b.iter(|| dft2_planned(&smooth)));
+    group.bench_function("dft2_443_bluestein", |b| b.iter(|| dft2_planned(&prime)));
     group.bench_function("csp_448_full_pipeline", |b| {
-        b.iter(|| count_csp(&arb, &CspConfig::default()))
+        b.iter(|| count_csp(&smooth, &CspConfig::default()))
     });
     group.finish();
 }

@@ -4,7 +4,7 @@ use crate::fft::{fft, ifft};
 use crate::Complex64;
 use decamouflage_imaging::{Channels, Image};
 
-/// A complex-valued 2-D frequency grid produced by [`dft2`].
+/// A complex-valued 2-D frequency grid produced by [`dft2_planned`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Spectrum2D {
     width: usize,
@@ -144,27 +144,57 @@ fn normalisation_scale(mags: &[f64]) -> f64 {
     }
 }
 
+thread_local! {
+    /// Reusable row/column buffers for [`dft2_planned`]. The FFT *plans*
+    /// are already cached per-length inside [`crate::fft`]; this adds the
+    /// packing and column buffers on top so a corpus run stops allocating
+    /// them per row pair and per column batch.
+    static DFT2_SCRATCH: std::cell::RefCell<Dft2Scratch> =
+        std::cell::RefCell::new(Dft2Scratch::default());
+}
+
+#[derive(Debug, Default)]
+struct Dft2Scratch {
+    packed: Vec<Complex64>,
+    cols: Vec<Complex64>,
+}
+
+/// Columns gathered per batch of the column pass: 128 contiguous bytes of
+/// each grid row per sweep.
+const COLUMN_BATCH: usize = 8;
+
 /// Forward 2-D DFT of a grayscale image (RGB inputs are converted to
 /// luminance first). Row transforms run first, then column transforms.
 ///
 /// Because the input rows are real-valued, two rows are packed into one
 /// complex transform (`z = a + i b`) and separated afterwards using the
 /// conjugate symmetry `A[k] = (Z[k] + conj(Z[N-k]))/2`,
-/// `B[k] = (Z[k] - conj(Z[N-k]))/(2i)` — halving the row-pass cost.
-pub fn dft2(img: &Image) -> Spectrum2D {
-    // Borrow the luma plane: for Gray inputs this is the stored plane
-    // itself — no copy between the image and the transform.
-    let luma = img.luma();
-    let (w, h) = (img.width(), img.height());
-    let mut grid: Vec<Complex64> = luma.iter().map(|&v| Complex64::from_real(v)).collect();
+/// `B[k] = (Z[k] - conj(Z[N-k]))/(2i)` — halving the row-pass cost. The
+/// column pass transforms eight columns per sweep down the grid.
+/// Packing and column buffers are thread-local and persist across calls.
+pub fn dft2_planned(img: &Image) -> Spectrum2D {
+    DFT2_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        // Borrow the luma plane: for Gray inputs this is the stored plane
+        // itself — no copy between the image and the transform.
+        let luma = img.luma();
+        let (w, h) = (img.width(), img.height());
+        let mut grid: Vec<Complex64> = luma.iter().map(|&v| Complex64::from_real(v)).collect();
+        row_pass(&mut grid, w, h, &mut scratch.packed);
+        column_pass(&mut grid, w, h, &mut scratch.cols, fft);
+        Spectrum2D { width: w, height: h, data: grid }
+    })
+}
 
-    // Rows: two real rows per complex FFT.
+/// Forward transform of every row of the real-valued `w x h` grid, two rows
+/// per complex FFT (see [`dft2_planned`]).
+fn row_pass(grid: &mut [Complex64], w: usize, h: usize, packed: &mut Vec<Complex64>) {
     let mut pair = 0;
     while pair + 1 < h {
         let (ya, yb) = (pair, pair + 1);
-        let mut packed: Vec<Complex64> =
-            (0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)).collect();
-        fft(&mut packed);
+        packed.clear();
+        packed.extend((0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)));
+        fft(packed);
         for k in 0..w {
             let z_k = packed[k];
             let z_nk = packed[(w - k) % w].conj();
@@ -177,119 +207,51 @@ pub fn dft2(img: &Image) -> Spectrum2D {
     }
     if pair < h {
         // Odd row count: transform the last row alone.
-        let y = pair;
-        let mut row: Vec<Complex64> = grid[y * w..(y + 1) * w].to_vec();
-        fft(&mut row);
-        grid[y * w..(y + 1) * w].copy_from_slice(&row);
+        fft(&mut grid[pair * w..(pair + 1) * w]);
     }
-    // Columns.
-    let mut col = vec![Complex64::ZERO; h];
-    for x in 0..w {
-        for y in 0..h {
-            col[y] = grid[y * w + x];
-        }
-        let mut col_vec = std::mem::take(&mut col);
-        fft(&mut col_vec);
-        for (y, &v) in col_vec.iter().enumerate() {
-            grid[y * w + x] = v;
-        }
-        col = col_vec;
-    }
-    Spectrum2D { width: w, height: h, data: grid }
 }
 
-thread_local! {
-    /// Reusable row/column buffers for [`dft2_planned`]. The FFT *plans*
-    /// are already cached per-length inside [`crate::fft`]; this adds the
-    /// per-call packing buffers on top so a corpus run stops allocating
-    /// them once per row pair.
-    static DFT2_SCRATCH: std::cell::RefCell<Dft2Scratch> =
-        std::cell::RefCell::new(Dft2Scratch::default());
-}
-
-#[derive(Debug, Default)]
-struct Dft2Scratch {
-    packed: Vec<Complex64>,
-    col: Vec<Complex64>,
-}
-
-/// [`dft2`] with thread-local scratch buffers.
+/// Applies `transform` to every column of the `w x h` grid.
 ///
-/// Performs exactly the same packed-row and column transforms as [`dft2`]
-/// (bit-identical output — asserted by the property tests); the difference
-/// is only that the row-packing and column buffers persist across calls
-/// instead of being reallocated per row pair.
-pub fn dft2_planned(img: &Image) -> Spectrum2D {
-    DFT2_SCRATCH.with(|scratch| {
-        let scratch = &mut *scratch.borrow_mut();
-        let luma = img.luma();
-        let (w, h) = (img.width(), img.height());
-        let mut grid: Vec<Complex64> = luma.iter().map(|&v| Complex64::from_real(v)).collect();
-
-        // Rows: two real rows per complex FFT, as in `dft2`.
-        let packed = &mut scratch.packed;
-        let mut pair = 0;
-        while pair + 1 < h {
-            let (ya, yb) = (pair, pair + 1);
-            packed.clear();
-            packed.extend((0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)));
-            fft(packed);
-            for k in 0..w {
-                let z_k = packed[k];
-                let z_nk = packed[(w - k) % w].conj();
-                let a = (z_k + z_nk) * 0.5;
-                let b = Complex64::new(0.5 * (z_k.im - z_nk.im), 0.5 * (z_nk.re - z_k.re));
-                grid[ya * w + k] = a;
-                grid[yb * w + k] = b;
-            }
-            pair += 2;
-        }
-        if pair < h {
-            let y = pair;
-            packed.clear();
-            packed.extend_from_slice(&grid[y * w..(y + 1) * w]);
-            fft(packed);
-            grid[y * w..(y + 1) * w].copy_from_slice(packed);
-        }
-        // Columns.
-        let col = &mut scratch.col;
-        for x in 0..w {
-            col.clear();
-            col.extend((0..h).map(|y| grid[y * w + x]));
-            fft(col);
-            for (y, &v) in col.iter().enumerate() {
-                grid[y * w + x] = v;
+/// Columns go [`COLUMN_BATCH`] at a time: each grid row contributes one
+/// contiguous run of up to eight values, scattered into eight contiguous
+/// column buffers, and the transformed columns return the same way. Each
+/// column sees exactly the transform of the one-column-at-a-time loop; only
+/// the memory traffic changes (a strided single-column gather reads a whole
+/// cache line per row to use one value of it).
+fn column_pass(
+    grid: &mut [Complex64],
+    w: usize,
+    h: usize,
+    cols: &mut Vec<Complex64>,
+    transform: fn(&mut [Complex64]),
+) {
+    cols.resize(COLUMN_BATCH * h, Complex64::ZERO);
+    for x0 in (0..w).step_by(COLUMN_BATCH) {
+        let batch = COLUMN_BATCH.min(w - x0);
+        for (y, row) in grid.chunks_exact(w).enumerate() {
+            for (c, &v) in row[x0..x0 + batch].iter().enumerate() {
+                cols[c * h + y] = v;
             }
         }
-        Spectrum2D { width: w, height: h, data: grid }
-    })
+        for col in cols.chunks_exact_mut(h).take(batch) {
+            transform(col);
+        }
+        for (y, row) in grid.chunks_exact_mut(w).enumerate() {
+            for (c, v) in row[x0..x0 + batch].iter_mut().enumerate() {
+                *v = cols[c * h + y];
+            }
+        }
+    }
 }
 
 /// Inverse 2-D DFT back to a real image (the imaginary residue is dropped).
 pub fn idft2(spec: &Spectrum2D) -> Image {
     let (w, h) = (spec.width, spec.height);
     let mut grid = spec.data.clone();
-    // Columns.
-    let mut col = vec![Complex64::ZERO; h];
-    for x in 0..w {
-        for y in 0..h {
-            col[y] = grid[y * w + x];
-        }
-        let mut col_vec = std::mem::take(&mut col);
-        ifft(&mut col_vec);
-        for (y, &v) in col_vec.iter().enumerate() {
-            grid[y * w + x] = v;
-        }
-        col = col_vec;
-    }
-    // Rows.
-    let mut row = vec![Complex64::ZERO; w];
-    for y in 0..h {
-        row.copy_from_slice(&grid[y * w..(y + 1) * w]);
-        let mut row_vec = std::mem::take(&mut row);
-        ifft(&mut row_vec);
-        grid[y * w..(y + 1) * w].copy_from_slice(&row_vec);
-        row = row_vec;
+    column_pass(&mut grid, w, h, &mut Vec::new(), ifft);
+    for row in grid.chunks_exact_mut(w) {
+        ifft(row);
     }
     let mut img = Image::zeros(w, h, Channels::Gray);
     for y in 0..h {
@@ -303,7 +265,7 @@ pub fn idft2(spec: &Spectrum2D) -> Image {
 /// The paper's *centered spectrum*: `fftshift` of the 2-D DFT followed by
 /// `log(1 + |F|)` normalised to `[0, 1]` (Equation 4 of the paper).
 pub fn centered_spectrum(img: &Image) -> Image {
-    dft2(img).centered_log_magnitude()
+    dft2_planned(img).centered_log_magnitude()
 }
 
 #[cfg(test)]
@@ -313,7 +275,7 @@ mod tests {
     #[test]
     fn dc_coefficient_is_sample_sum() {
         let img = Image::from_fn_gray(4, 3, |x, y| (x + y) as f64);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         let sum: f64 = img.plane(0).iter().sum();
         assert!((spec.get(0, 0).re - sum).abs() < 1e-9);
         assert!(spec.get(0, 0).im.abs() < 1e-9);
@@ -324,41 +286,55 @@ mod tests {
         // Reference: transform rows one at a time, then columns.
         for (w, h) in [(8usize, 6usize), (7, 5), (9, 9)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 7 + y * 13) % 53) as f64);
-            let fast = dft2(&img);
-            let mut grid: Vec<crate::Complex64> =
-                img.plane(0).iter().map(|&v| crate::Complex64::from_real(v)).collect();
-            for y in 0..h {
-                let mut row: Vec<crate::Complex64> = grid[y * w..(y + 1) * w].to_vec();
-                crate::fft::fft(&mut row);
-                grid[y * w..(y + 1) * w].copy_from_slice(&row);
+            let fast = dft2_planned(&img);
+            let mut grid: Vec<Complex64> =
+                img.plane(0).iter().map(|&v| Complex64::from_real(v)).collect();
+            for row in grid.chunks_exact_mut(w) {
+                fft(row);
             }
-            let mut col = vec![crate::Complex64::ZERO; h];
-            for x in 0..w {
-                for y in 0..h {
-                    col[y] = grid[y * w + x];
-                }
-                let mut c = col.clone();
-                crate::fft::fft(&mut c);
-                for (y, &v) in c.iter().enumerate() {
-                    grid[y * w + x] = v;
-                }
-            }
+            column_pass_one_at_a_time(&mut grid, w, h);
             for (i, (a, b)) in fast.as_slice().iter().zip(grid.iter()).enumerate() {
                 assert!((*a - *b).norm() < 1e-6, "{w}x{h} bin {i}: {a} vs {b}");
             }
         }
     }
 
+    /// The historical column loop: one strided column gathered, transformed
+    /// and scattered back at a time.
+    fn column_pass_one_at_a_time(grid: &mut [Complex64], w: usize, h: usize) {
+        let mut col = Vec::with_capacity(h);
+        for x in 0..w {
+            col.clear();
+            col.extend((0..h).map(|y| grid[y * w + x]));
+            fft(&mut col);
+            for (y, &v) in col.iter().enumerate() {
+                grid[y * w + x] = v;
+            }
+        }
+    }
+
     #[test]
-    fn planned_dft2_is_bit_identical_to_dft2() {
-        // Covers even/odd row counts and radix-2 / mixed-radix / Bluestein
-        // (prime) lengths; repeated calls exercise scratch reuse.
-        for (w, h) in [(8usize, 8usize), (7, 5), (12, 9), (17, 17), (16, 6), (1, 4)] {
+    fn batched_column_pass_is_bit_identical_to_one_column_at_a_time() {
+        // Widths below and not divisible by the batch exercise the tail;
+        // lengths cover radix-2, mixed-radix and Bluestein (prime) paths and
+        // even/odd row counts. Repeated `dft2_planned` calls reuse scratch.
+        for (w, h) in
+            [(1usize, 4usize), (7, 5), (9, 12), (13, 8), (17, 17), (8, 8), (16, 6), (24, 9)]
+        {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 29 + y * 23) % 71) as f64 - 11.0);
-            let reference = dft2(&img);
+            let mut rows: Vec<Complex64> =
+                img.plane(0).iter().map(|&v| Complex64::from_real(v)).collect();
+            row_pass(&mut rows, w, h, &mut Vec::new());
+            let mut reference = rows.clone();
+            column_pass_one_at_a_time(&mut reference, w, h);
+            let mut batched = rows;
+            column_pass(&mut batched, w, h, &mut Vec::new(), fft);
+            let bits = |g: &[Complex64]| -> Vec<(u64, u64)> {
+                g.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&batched), bits(&reference), "{w}x{h}");
             for _ in 0..2 {
-                let planned = dft2_planned(&img);
-                assert_eq!(reference.as_slice(), planned.as_slice(), "{w}x{h}");
+                assert_eq!(bits(dft2_planned(&img).as_slice()), bits(&reference), "{w}x{h}");
             }
         }
     }
@@ -367,7 +343,7 @@ mod tests {
     fn idft2_inverts_dft2() {
         for (w, h) in [(8usize, 8usize), (7, 5), (16, 9)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 31 + y * 17) % 97) as f64);
-            let back = idft2(&dft2(&img));
+            let back = idft2(&dft2_planned(&img));
             assert!(back.approx_eq(&img, 1e-6), "{w}x{h} roundtrip failed");
         }
     }
@@ -375,7 +351,7 @@ mod tests {
     #[test]
     fn shift_moves_dc_to_center() {
         let img = Image::filled(8, 8, Channels::Gray, 10.0);
-        let spec = dft2(&img).shifted();
+        let spec = dft2_planned(&img).shifted();
         // For a constant image everything but DC is 0; DC lands at (4, 4).
         assert!(spec.get(4, 4).norm() > 1.0);
         assert!(spec.get(0, 0).norm() < 1e-9);
@@ -384,7 +360,7 @@ mod tests {
     #[test]
     fn shift_is_involution_for_even_sizes() {
         let img = Image::from_fn_gray(8, 6, |x, y| (x * y) as f64);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         let twice = spec.shifted().shifted();
         for (a, b) in spec.as_slice().iter().zip(twice.as_slice()) {
             assert!((*a - *b).norm() < 1e-12);
@@ -394,7 +370,7 @@ mod tests {
     #[test]
     fn log_magnitude_is_normalised() {
         let img = Image::from_fn_gray(16, 16, |x, y| ((x ^ y) * 16) as f64);
-        let mag = dft2(&img).shifted().log_magnitude();
+        let mag = dft2_planned(&img).shifted().log_magnitude();
         assert!(mag.min_sample() >= 0.0);
         assert!((mag.max_sample() - 1.0).abs() < 1e-12);
     }
@@ -404,7 +380,7 @@ mod tests {
         // Even/odd dimensions exercise both segment splits of the shift.
         for (w, h) in [(8usize, 8usize), (7, 5), (12, 9), (9, 12), (1, 4), (5, 1)] {
             let img = Image::from_fn_gray(w, h, |x, y| ((x * 13 + y * 7) % 31) as f64 - 4.0);
-            let spec = dft2(&img);
+            let spec = dft2_planned(&img);
             let staged = spec.shifted().log_magnitude();
             let fused = spec.centered_log_magnitude();
             assert_eq!(staged, fused, "{w}x{h}");
@@ -438,8 +414,8 @@ mod tests {
     fn rgb_input_is_converted_to_luma() {
         let rgb = Image::from_fn_rgb(8, 8, |x, y| [(x * y) as f64, 0.0, 0.0]);
         let gray = rgb.to_gray();
-        let a = dft2(&rgb);
-        let b = dft2(&gray);
+        let a = dft2_planned(&rgb);
+        let b = dft2_planned(&gray);
         for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
             assert!((*x - *y).norm() < 1e-9);
         }
@@ -448,7 +424,7 @@ mod tests {
     #[test]
     fn spectrum_accessors() {
         let img = Image::zeros(6, 4, Channels::Gray);
-        let spec = dft2(&img);
+        let spec = dft2_planned(&img);
         assert_eq!(spec.width(), 6);
         assert_eq!(spec.height(), 4);
         assert_eq!(spec.as_slice().len(), 24);

@@ -27,12 +27,12 @@ use std::f64::consts::PI;
 /// assert!((data[0].re - 4.0).abs() < 1e-12);
 /// assert!(data[1].norm() < 1e-12);
 /// ```
-pub fn fft(data: &mut Vec<Complex64>) {
+pub fn fft(data: &mut [Complex64]) {
     transform(data, Direction::Forward);
 }
 
 /// In-place inverse DFT of `data` (any length), normalised by `1/N`.
-pub fn ifft(data: &mut Vec<Complex64>) {
+pub fn ifft(data: &mut [Complex64]) {
     transform(data, Direction::Inverse);
     let n = data.len() as f64;
     for v in data.iter_mut() {
@@ -71,7 +71,7 @@ impl Direction {
     }
 }
 
-fn transform(data: &mut Vec<Complex64>, dir: Direction) {
+fn transform(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     if n <= 1 {
         return;
@@ -89,12 +89,19 @@ thread_local! {
     static MIXED_PLANS: std::cell::RefCell<
         std::collections::HashMap<usize, std::rc::Rc<crate::mixed_radix::MixedRadixPlan>>,
     > = std::cell::RefCell::new(std::collections::HashMap::new());
+    /// Output buffer of the out-of-place leaf gather, reused across calls.
+    static MIXED_SCRATCH: std::cell::RefCell<Vec<Complex64>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Smooth-length transform through a cached [`MixedRadixPlan`].
+/// Smooth-length transform through a cached [`MixedRadixPlan`], in place
+/// via a thread-local scratch buffer (no allocation once warm).
+///
+/// The inverse runs the forward plan between two conjugations; the shared
+/// `ifft` applies the 1/N normalisation itself.
 ///
 /// [`MixedRadixPlan`]: crate::mixed_radix::MixedRadixPlan
-fn mixed_radix_cached(data: &mut Vec<Complex64>, dir: Direction) {
+fn mixed_radix_cached(data: &mut [Complex64], dir: Direction) {
     let n = data.len();
     let plan = MIXED_PLANS.with(|cache| {
         cache
@@ -103,17 +110,25 @@ fn mixed_radix_cached(data: &mut Vec<Complex64>, dir: Direction) {
             .or_insert_with(|| std::rc::Rc::new(crate::mixed_radix::MixedRadixPlan::new(n)))
             .clone()
     });
-    let out = match dir {
-        Direction::Forward => plan.forward(data),
-        // The shared `ifft` applies the 1/N normalisation itself, so use
-        // the unnormalised inverse: conjugate trick via forward transform
-        // of the conjugated input.
-        Direction::Inverse => {
-            let conj: Vec<Complex64> = data.iter().map(|v| v.conj()).collect();
-            plan.forward(&conj).into_iter().map(|v| v.conj()).collect()
+    MIXED_SCRATCH.with(|scratch| {
+        let scratch = &mut *scratch.borrow_mut();
+        scratch.resize(n, Complex64::ZERO);
+        match dir {
+            Direction::Forward => {
+                plan.forward_into(data, scratch);
+                data.copy_from_slice(scratch);
+            }
+            Direction::Inverse => {
+                for v in data.iter_mut() {
+                    *v = v.conj();
+                }
+                plan.forward_into(data, scratch);
+                for (v, s) in data.iter_mut().zip(scratch.iter()) {
+                    *v = s.conj();
+                }
+            }
         }
-    };
-    *data = out;
+    });
 }
 
 /// Per-stage twiddle tables of one `(length, direction)` radix-2 transform.

@@ -4,9 +4,9 @@
 //! method needs:
 //!
 //! * [`Complex64`] — minimal complex arithmetic,
-//! * [`fft`] — iterative radix-2 Cooley–Tukey, [`mixed_radix`] Cooley–Tukey
-//!   for smooth composite lengths, and Bluestein's chirp-z transform for the
-//!   rest, all behind per-length plan caches,
+//! * [`fft`] — iterative radix-2 Cooley–Tukey, the iterative [`mixed_radix`]
+//!   Cooley–Tukey plan for smooth composite lengths, and Bluestein's chirp-z
+//!   transform for the rest, all behind per-length plan caches,
 //! * [`dft2d`] — 2-D forward/inverse transforms (two real rows packed per
 //!   complex FFT), `fftshift` and the log-magnitude *centered spectrum*,
 //! * [`spectrum`] — low-pass masking and binarisation of centred spectra,

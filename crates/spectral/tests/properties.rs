@@ -3,7 +3,7 @@
 use decamouflage_imaging::{Channels, Image};
 use decamouflage_spectral::components::{count_components, label_components, Connectivity};
 use decamouflage_spectral::csp::{count_csp, count_csp_planned, CspConfig};
-use decamouflage_spectral::dft2d::{centered_spectrum, dft2, dft2_planned, idft2};
+use decamouflage_spectral::dft2d::{centered_spectrum, dft2_planned, idft2};
 use decamouflage_spectral::fft::{dft_naive, fft, ifft};
 use decamouflage_spectral::mixed_radix::{is_smooth, MixedRadixPlan};
 use decamouflage_spectral::radial::radial_profile;
@@ -83,7 +83,7 @@ proptest! {
 
     #[test]
     fn dft2_roundtrip(img in arb_image()) {
-        let back = idft2(&dft2(&img));
+        let back = idft2(&dft2_planned(&img));
         prop_assert!(back.approx_eq(&img, 1e-6));
     }
 
@@ -132,18 +132,17 @@ proptest! {
     }
 
     #[test]
-    fn planned_dft2_is_bit_identical_to_dft2(img in arb_image()) {
-        // The scratch-reusing plan path behind the engine's steganalysis
-        // scoring must match the plain transform bit for bit, including
-        // non-power-of-two (Bluestein) sizes, which `arb_image`'s prime
+    fn planned_dft2_matches_one_column_at_a_time_reference(img in arb_image()) {
+        // The batched column pass behind the engine's steganalysis scoring
+        // must match the historical per-column loop bit for bit, including
+        // widths below and not divisible by the batch and non-power-of-two
+        // (mixed-radix and Bluestein) sizes, which `arb_image`'s 2..=16
         // dimensions exercise.
-        let plain = dft2(&img);
+        let reference = dft2_one_column_at_a_time(&img);
         let planned = dft2_planned(&img);
-        prop_assert_eq!(planned.width(), plain.width());
-        prop_assert_eq!(planned.height(), plain.height());
-        for (a, b) in planned.as_slice().iter().zip(plain.as_slice()) {
-            prop_assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
-        }
+        prop_assert_eq!(planned.width(), img.width());
+        prop_assert_eq!(planned.height(), img.height());
+        prop_assert_eq!(spectrum_bits(planned.as_slice()), spectrum_bits(&reference));
     }
 
     #[test]
@@ -169,16 +168,75 @@ proptest! {
     }
 }
 
-#[test]
-fn planned_paths_match_on_large_bluestein_sizes() {
-    // 97 and 31 are primes well past the small mixed-radix factors, so both
-    // axes go through the Bluestein fallback.
-    let img = Image::from_fn_gray(97, 31, |x, y| ((x * 13 + y * 29) % 251) as f64);
-    let plain = dft2(&img);
-    let planned = dft2_planned(&img);
-    for (a, b) in planned.as_slice().iter().zip(plain.as_slice()) {
-        assert!(a.re == b.re && a.im == b.im, "{a:?} != {b:?}");
+/// The historical 2-D transform, kept verbatim as the bit-identity reference
+/// for `dft2_planned`: the same packed-row pass, then one strided column
+/// gathered, transformed and scattered back at a time.
+fn dft2_one_column_at_a_time(img: &Image) -> Vec<Complex64> {
+    let luma = img.luma();
+    let (w, h) = (img.width(), img.height());
+    let mut grid: Vec<Complex64> = luma.iter().map(|&v| Complex64::from_real(v)).collect();
+
+    // Rows: two real rows per complex FFT.
+    let mut pair = 0;
+    while pair + 1 < h {
+        let (ya, yb) = (pair, pair + 1);
+        let mut packed: Vec<Complex64> =
+            (0..w).map(|x| Complex64::new(grid[ya * w + x].re, grid[yb * w + x].re)).collect();
+        fft(&mut packed);
+        for k in 0..w {
+            let z_k = packed[k];
+            let z_nk = packed[(w - k) % w].conj();
+            let a = (z_k + z_nk) * 0.5;
+            let b = Complex64::new(0.5 * (z_k.im - z_nk.im), 0.5 * (z_nk.re - z_k.re));
+            grid[ya * w + k] = a;
+            grid[yb * w + k] = b;
+        }
+        pair += 2;
     }
+    if pair < h {
+        // Odd row count: transform the last row alone.
+        let y = pair;
+        let mut row: Vec<Complex64> = grid[y * w..(y + 1) * w].to_vec();
+        fft(&mut row);
+        grid[y * w..(y + 1) * w].copy_from_slice(&row);
+    }
+    // Columns.
+    let mut col = vec![Complex64::ZERO; h];
+    for x in 0..w {
+        for y in 0..h {
+            col[y] = grid[y * w + x];
+        }
+        let mut col_vec = std::mem::take(&mut col);
+        fft(&mut col_vec);
+        for (y, &v) in col_vec.iter().enumerate() {
+            grid[y * w + x] = v;
+        }
+        col = col_vec;
+    }
+    grid
+}
+
+fn spectrum_bits(grid: &[Complex64]) -> Vec<(u64, u64)> {
+    grid.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
+}
+
+#[test]
+fn planned_dft2_matches_reference_on_batch_tails_and_profile_sizes() {
+    // Widths 1, 7, 9, 13 and 17 leave a partial column batch; 97 and 31 are
+    // primes past the mixed-radix factors (Bluestein on both axes); 56x44
+    // and 616x3 take the mixed-radix path, 616 = 2³·7·11 in every row.
+    for (w, h) in
+        [(1usize, 4usize), (7, 5), (9, 12), (13, 8), (17, 17), (97, 31), (56, 44), (616, 3)]
+    {
+        let img = Image::from_fn_gray(w, h, |x, y| ((x * 13 + y * 29) % 251) as f64);
+        let reference = dft2_one_column_at_a_time(&img);
+        assert_eq!(
+            spectrum_bits(dft2_planned(&img).as_slice()),
+            spectrum_bits(&reference),
+            "{w}x{h}"
+        );
+    }
+    let img = Image::from_fn_gray(97, 31, |x, y| ((x * 13 + y * 29) % 251) as f64);
     let config = CspConfig::default();
     assert_eq!(count_csp_planned(&img, &config).count, count_csp(&img, &config).count);
 }
